@@ -46,7 +46,17 @@ class RunConfig:
 
 def _default_threshold() -> int:
     value = os.environ.get(THRESHOLD_ENV)
-    return int(value) if value else DEFAULT_EXACT_THRESHOLD
+    if not value:
+        return DEFAULT_EXACT_THRESHOLD
+    try:
+        threshold = int(value)
+    except ValueError:
+        pass
+    else:
+        if threshold >= 0:
+            return threshold
+    raise ValueError(f"{THRESHOLD_ENV} must be a nonnegative integer, "
+                     f"got {value!r}")
 
 
 def _render(cfg: RunConfig, value):
@@ -74,11 +84,7 @@ def _load_space(path: str) -> MetricSpace:
 
 
 def _load_valid_space(path: str) -> MetricSpace:
-    space = _load_space(path)
-    violations = validate(space)
-    if violations:
-        raise ValueError(f"input space {path} is invalid: {violations}")
-    return space
+    return io.require_valid(_load_space(path), f"input space {path}")
 
 
 def _parse_pairs(text: str) -> list:
@@ -407,16 +413,18 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threshold = getattr(args, "exact_threshold", None)
-    if threshold is None:
-        threshold = _default_threshold()
-    cfg = RunConfig(subcommand=args.subcommand,
-                    float_mode=args.float_mode,
-                    seed=getattr(args, "seed", 0),
-                    exact_threshold=threshold)
     try:
+        threshold = getattr(args, "exact_threshold", None)
+        if threshold is None:
+            threshold = _default_threshold()
+        cfg = RunConfig(subcommand=args.subcommand,
+                        float_mode=args.float_mode,
+                        seed=getattr(args, "seed", 0),
+                        exact_threshold=threshold)
         return _HANDLERS[args.subcommand](cfg, args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # A solver limit or a broken solver invariant is a RuntimeError naming it.
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            RuntimeError) as exc:
         print(f"lipfree: error: {exc}", file=sys.stderr)
         return 2
 

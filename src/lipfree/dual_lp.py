@@ -11,14 +11,17 @@ single nonzero coefficient).  P is bounded and contains the origin, and the
 cone f0(x) = d(x, e) is always a vertex whose tight set is the identity
 matrix, so the solver starts there and walks vertices of P with an exact
 active-set pivot (Bland ordering on the fixed constraint list on both the
-leaving and the entering side, which rules out cycling).  All arithmetic is
-`fractions.Fraction`; the optimum, and the optimal vertex returned as a
-certificate, are exact and deterministic.
+leaving and the entering side, which rules out cycling).  The normals form
+a totally unimodular network matrix, so B^{-1} stays integral and each pivot
+is +-1: the arithmetic runs on ints scaled by common denominators, and the
+optimum and optimal vertex (the certificate) return as exact `Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .metric import scale_to_ints
 
 _ZERO = Fraction(0)
 _MAX_PIVOTS = 50_000
@@ -38,15 +41,17 @@ def maximize(space, objective: dict) -> tuple:
     if all(v == 0 for v in objective.values()):
         return _ZERO, zeros
 
+    scale, dist = space.scaled
     varpts = [i for i in range(space.n) if i != base]
     p = len(varpts)
     var_of = {pt: v for v, pt in enumerate(varpts)}
-    c = [_ZERO] * p
-    for pt, coef in objective.items():
+    obj_scale, obj = scale_to_ints(objective.values())
+    c = [0] * p
+    for pt, coef in zip(objective, obj):
         c[var_of[pt]] = coef
 
     # Constraint k: f(s_k) - f(t_k) <= d(s_k, t_k), encoded as variable
-    # indices (-1 for the base point) plus the bound.
+    # indices (-1 for the base point) plus the scaled bound.
     ci, cj, cb = [], [], []
     first_cid = {}
     for s in range(space.n):
@@ -57,23 +62,23 @@ def maximize(space, objective: dict) -> tuple:
                 first_cid[s] = len(cb)
             ci.append(-1 if s == base else var_of[s])
             cj.append(-1 if t == base else var_of[t])
-            cb.append(space.d(s, t))
+            cb.append(dist[s][t])
     K = len(cb)
 
     # Start at the cone vertex f0 = d(., base); its tight set is f(x) <= d(x, e)
     # for every non-base x, whose normal matrix is the identity.
-    f = [space.d(pt, base) for pt in varpts]
+    f = [dist[pt][base] for pt in varpts]
     basis = [first_cid[pt] for pt in varpts]
     in_basis = [False] * K
     for cid in basis:
         in_basis[cid] = True
-    binv = [[Fraction(int(r == s)) for s in range(p)] for r in range(p)]
+    binv = [[int(r == s) for s in range(p)] for r in range(p)]
 
     supp = [v for v in range(p) if c[v] != 0]
 
     for _ in range(_MAX_PIVOTS):
         # Multipliers lam = B^{-T} c; optimal once they are all nonnegative.
-        lam = [_ZERO] * p
+        lam = [0] * p
         for v in supp:
             cv = c[v]
             row = binv[v]
@@ -88,10 +93,10 @@ def maximize(space, objective: dict) -> tuple:
                 leave_cid = basis[pos]
                 leave_pos = pos
         if leave_pos < 0:
-            value = sum((c[v] * f[v] for v in supp), _ZERO)
+            value = Fraction(sum(c[v] * f[v] for v in supp), obj_scale * scale)
             vals = list(zeros)
             for v, pt in enumerate(varpts):
-                vals[pt] = f[v]
+                vals[pt] = Fraction(f[v], scale)
             return value, tuple(vals)
 
         # Direction off the leaving constraint, keeping the rest tight.
@@ -100,34 +105,38 @@ def maximize(space, objective: dict) -> tuple:
         # Ratio test over the inactive constraints (Bland: first strict win
         # in cid order keeps the smallest index among the minimizers).
         best_cid = -1
-        best_slack = best_h = None
+        best_slack = None
         for cid in range(K):
             if in_basis[cid]:
                 continue
             i, j = ci[cid], cj[cid]
-            h = (u[i] if i >= 0 else _ZERO) - (u[j] if j >= 0 else _ZERO)
+            h = (u[i] if i >= 0 else 0) - (u[j] if j >= 0 else 0)
             if h <= 0:
                 continue
-            lhs = (f[i] if i >= 0 else _ZERO) - (f[j] if j >= 0 else _ZERO)
+            if h != 1:
+                raise RuntimeError(f"total unimodularity broken: ratio-test "
+                                   f"step denominator {h}")
+            lhs = (f[i] if i >= 0 else 0) - (f[j] if j >= 0 else 0)
             slack = cb[cid] - lhs
-            if best_cid < 0 or slack * best_h < best_slack * h:
-                best_cid, best_slack, best_h = cid, slack, h
+            if best_cid < 0 or slack < best_slack:
+                best_cid, best_slack = cid, slack
         if best_cid < 0:
             # P is bounded whenever the distances are a genuine metric.
             raise RuntimeError("unbounded program: distance data is not a metric")
 
-        step = best_slack / best_h
-        if step:
+        if best_slack:
             for v in range(p):
                 if u[v]:
-                    f[v] += step * u[v]
+                    f[v] += best_slack * u[v]
 
         # Rank-one update of B^{-1} after swapping the leaving row for the
         # entering constraint normal a:  B' = B + e_r (a - B_r)^T.
         ai, aj = ci[best_cid], cj[best_cid]
-        z = [(binv[ai][pos] if ai >= 0 else _ZERO)
-             - (binv[aj][pos] if aj >= 0 else _ZERO) for pos in range(p)]
+        z = [(binv[ai][pos] if ai >= 0 else 0)
+             - (binv[aj][pos] if aj >= 0 else 0) for pos in range(p)]
         piv = z[leave_pos]
+        if piv not in (1, -1):
+            raise RuntimeError(f"total unimodularity broken: pivot {piv}")
         col = [binv[v][leave_pos] for v in range(p)]
         for v in range(p):
             cv = col[v]
@@ -137,7 +146,7 @@ def maximize(space, objective: dict) -> tuple:
             for pos in range(p):
                 zz = z[pos] - (1 if pos == leave_pos else 0)
                 if zz:
-                    row[pos] -= cv * zz / piv
+                    row[pos] -= cv * zz * piv
 
         in_basis[leave_cid] = False
         in_basis[best_cid] = True

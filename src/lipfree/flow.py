@@ -5,13 +5,16 @@ receive it.  Because the cost matrix satisfies the triangle inequality, some
 optimal plan moves mass only along direct shipper-to-receiver edges (a relay
 through a third point never beats the direct edge), so the search runs on
 that bipartite network.  Mass is routed by successive shortest augmenting
-paths in the residual graph, found with Bellman-Ford over exact rationals;
+paths in the residual graph, found with Bellman-Ford over ints (costs and
+amounts scaled by their common denominators, which changes no path choice);
 tie-breaking is by node index, so the optimal plan returned is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .metric import scale_to_ints
 
 _ZERO = Fraction(0)
 _MAX_AUGMENTATIONS = 200_000
@@ -24,13 +27,14 @@ def min_cost_transport(space, divergence: dict) -> tuple:
     (cost, edges) with edges a tuple of (src, dst, amount), amount > 0,
     sorted by endpoint indices.
     """
-    total = sum(divergence.values(), _ZERO)
-    if total != 0:
+    amount_scale, amounts = scale_to_ints(divergence.values())
+    if sum(amounts) != 0:
         raise ValueError("divergence must sum to zero")
-    supply = {i: b for i, b in divergence.items() if b > 0}
-    demand = {i: -b for i, b in divergence.items() if b < 0}
+    supply = {i: b for i, b in zip(divergence, amounts) if b > 0}
+    demand = {i: -b for i, b in zip(divergence, amounts) if b < 0}
     if not supply:
         return _ZERO, ()
+    scale, cost_rows = space.scaled
 
     sources = sorted(supply)
     sinks = sorted(demand)
@@ -50,15 +54,16 @@ def min_cost_transport(space, divergence: dict) -> tuple:
         dist.update({v: None for v in sinks})
         pred = {}
         for s in live:
-            dist[s] = _ZERO
+            dist[s] = 0
         for _round in range(len(dist)):
             changed = False
             for s in sources:
                 ds = dist[s]
                 if ds is None:
                     continue
+                row = cost_rows[s]
                 for t in sinks:
-                    nd = ds + space.d(s, t)
+                    nd = ds + row[t]
                     if dist[t] is None or nd < dist[t]:
                         dist[t] = nd
                         pred[t] = s
@@ -69,7 +74,7 @@ def min_cost_transport(space, divergence: dict) -> tuple:
                 dt = dist[t]
                 if dt is None:
                     continue
-                nd = dt - space.d(s, t)
+                nd = dt - cost_rows[s][t]
                 if dist[s] is None or nd < dist[s]:
                     dist[s] = nd
                     pred[s] = t
@@ -109,7 +114,7 @@ def min_cost_transport(space, divergence: dict) -> tuple:
             ahead, node = path[k + 1], path[k]
             if node in demand:
                 key = (ahead, node)
-                flow[key] = flow.get(key, _ZERO) + bottleneck
+                flow[key] = flow.get(key, 0) + bottleneck
             else:
                 flow[(node, ahead)] -= bottleneck
         rem_s[start] -= bottleneck
@@ -117,7 +122,7 @@ def min_cost_transport(space, divergence: dict) -> tuple:
     else:
         raise RuntimeError("augmentation limit exceeded")
 
-    edges = tuple(sorted((s, t, amount) for (s, t), amount in flow.items()
-                         if amount > 0))
-    cost = sum((amount * space.d(s, t) for s, t, amount in edges), _ZERO)
-    return cost, edges
+    edges = sorted((s, t, a) for (s, t), a in flow.items() if a > 0)
+    cost = sum(a * cost_rows[s][t] for s, t, a in edges)
+    return (Fraction(cost, amount_scale * scale),
+            tuple((s, t, Fraction(a, amount_scale)) for s, t, a in edges))

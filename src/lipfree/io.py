@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .free import FreeVector
 from .lipschitz import LipFunction
-from .metric import MetricSpace
+from .metric import MetricSpace, validate
 from .witness import LinearWitness
 
 
@@ -64,6 +64,14 @@ def space_from_dict(data) -> MetricSpace:
         raise ValueError(f"space document missing key {exc}") from None
     rows = tuple(tuple(parse_rational(v) for v in row) for row in dist)
     return MetricSpace(tuple(points), int(base), rows)
+
+
+def require_valid(space: MetricSpace, what: str) -> MetricSpace:
+    """Return `space`, or raise ValueError naming its axiom violations."""
+    violations = validate(space)
+    if violations:
+        raise ValueError(f"{what} is invalid: {violations}")
+    return space
 
 
 def _space_from_ref(ref, base_dir=None) -> MetricSpace:
@@ -120,8 +128,10 @@ def witness_to_dict(w: LinearWitness) -> dict:
 
 
 def witness_from_dict(data, base_dir=None) -> LinearWitness:
-    source = _space_from_ref(data["source"], base_dir)
-    target = _space_from_ref(data["target"], base_dir)
+    source = require_valid(_space_from_ref(data["source"], base_dir),
+                           "witness source space")
+    target = require_valid(_space_from_ref(data["target"], base_dir),
+                           "witness target space")
     table = data["images"]
     images = []
     for x in source.non_base():
@@ -148,7 +158,8 @@ def basis_to_dict(space: MetricSpace, vectors, labels) -> dict:
 
 def basis_from_dict(data, base_dir=None) -> tuple:
     """Returns (space, vectors, labels)."""
-    space = _space_from_ref(data["space"], base_dir)
+    space = require_valid(_space_from_ref(data["space"], base_dir),
+                          "basis space")
     vectors, labels = [], []
     for entry in data["vectors"]:
         labels.append(entry["label"])

@@ -6,7 +6,9 @@ every derived quantity in this package is computed without rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,6 +23,15 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a string or Fraction")
     return Fraction(value)
+
+
+def scale_to_ints(values) -> tuple:
+    """(scale, ints): `scale` is the least common multiple of the
+    denominators of the rationals `values`, and ints[k] == values[k] * scale.
+    """
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,14 @@ class MetricSpace:
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def scaled(self) -> tuple:
+        """(D, rows) with rows[i][j] == d(i, j) * D an int for every pair:
+        the distances over their common denominator D, computed once."""
+        n = self.n
+        scale, flat = scale_to_ints(v for row in self.dist for v in row)
+        return scale, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -123,7 +142,7 @@ def validate(space: MetricSpace) -> list:
     points; an empty list means the space is valid.
     """
     out = []
-    pts, dist, n = space.points, space.dist, space.n
+    pts, dist, n = space.points, space.scaled[1], space.n
     seen = {}
     for i, p in enumerate(pts):
         if p in seen:

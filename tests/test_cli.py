@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -215,3 +216,52 @@ def test_main_callable_directly(tmp_path, capsys):
     code = main(["validate", str(path)])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+NEGATIVE = {"points": ["e", "a"], "base": 0,
+            "dist": [["0", "-1"], ["-1", "0"]]}
+
+
+def test_witness_check_rejects_non_metric_space(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    io.dump_json({"source": NEGATIVE, "target": NEGATIVE,
+                  "images": {"a": {"a": "1"}}}, wfile)
+    assert main(["witness", "check", "--witness", str(wfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "witness source space is invalid" in captured.err
+    assert "positivity(e,a)" in captured.err
+
+
+def test_basis_constant_rejects_non_metric_space(tmp_path, capsys):
+    bfile = tmp_path / "b.json"
+    io.dump_json({"space": NEGATIVE,
+                  "vectors": [{"label": "v", "coeffs": {"a": "1"}}]}, bfile)
+    assert main(["witness", "basis-constant", "--basis", str(bfile)]) == 2
+    assert "basis space is invalid: ['positivity(e,a)']" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_bad_threshold_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    path = write_space(tmp_path, path_space(4))
+    monkeypatch.setenv("LIPFREE_EXACT_THRESHOLD", value)
+    assert main(["doubling", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lipfree: error: LIPFREE_EXACT_THRESHOLD")
+    assert repr(value) in captured.err
+
+
+@pytest.mark.parametrize("module, limit, message", [
+    ("dual_lp", "_MAX_PIVOTS", "pivot limit exceeded"),
+    ("flow", "_MAX_AUGMENTATIONS", "augmentation limit exceeded"),
+])
+def test_solver_limit_exits_2(tmp_path, capsys, monkeypatch, module, limit,
+                              message):
+    monkeypatch.setattr(importlib.import_module(f"lipfree.{module}"), limit, 0)
+    path = write_space(tmp_path, path_space(2))
+    assert main(["norm", str(path), "--coeffs", "1:1,2:-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lipfree: error: {message}\n"
