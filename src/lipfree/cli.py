@@ -44,10 +44,13 @@ class RunConfig:
         return f"float(tol={FLOAT_TOL:g})" if self.float_mode else "exact"
 
 
-def _default_threshold() -> int:
-    value = os.environ.get(THRESHOLD_ENV)
-    if not value:
-        return DEFAULT_EXACT_THRESHOLD
+def _exact_threshold(args) -> int:
+    """--exact-threshold, else $LIPFREE_EXACT_THRESHOLD, else the default."""
+    value, source = getattr(args, "exact_threshold", None), "--exact-threshold"
+    if value is None:
+        value, source = os.environ.get(THRESHOLD_ENV), THRESHOLD_ENV
+        if not value:
+            return DEFAULT_EXACT_THRESHOLD
     try:
         threshold = int(value)
     except ValueError:
@@ -55,8 +58,7 @@ def _default_threshold() -> int:
     else:
         if threshold >= 0:
             return threshold
-    raise ValueError(f"{THRESHOLD_ENV} must be a nonnegative integer, "
-                     f"got {value!r}")
+    raise ValueError(f"{source} must be a nonnegative integer, got {value!r}")
 
 
 def _render(cfg: RunConfig, value):
@@ -414,13 +416,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threshold = getattr(args, "exact_threshold", None)
-        if threshold is None:
-            threshold = _default_threshold()
         cfg = RunConfig(subcommand=args.subcommand,
                         float_mode=args.float_mode,
                         seed=getattr(args, "seed", 0),
-                        exact_threshold=threshold)
+                        exact_threshold=_exact_threshold(args))
         return _HANDLERS[args.subcommand](cfg, args)
     # A solver limit or a broken solver invariant is a RuntimeError naming it.
     except (ValueError, KeyError, OSError, json.JSONDecodeError,

@@ -1,9 +1,15 @@
 """Covering numbers, doubling constants and Assouad-dimension estimates for
-finite metric spaces."""
+finite metric spaces.
+
+Covers run on Python-int bitsets (bit i for point i).  A closed ball is one
+`bisect` into the ascending scaled distance rows of `MetricSpace.sorted_rows`
+plus a table lookup, so no `Fraction` is compared inside the cover search.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,34 +53,52 @@ class Discreteness:
     ratio: Fraction
 
 
+def _scaled(space: MetricSpace, radius: Fraction) -> int:
+    """floor(radius * D), D the common denominator of `space.scaled`: for an
+    int distance d*D, d <= radius holds exactly when d*D <= floor(radius*D)."""
+    return radius.numerator * space.scaled[0] // radius.denominator
+
+
+def _ball_mask(space: MetricSpace, center: int, scaled_radius: int) -> int:
+    """Bitmask (bit i for point i) of the closed ball around `center`."""
+    row, prefix = space.sorted_rows[center]
+    return prefix[bisect_right(row, scaled_radius)]
+
+
 def ball(space: MetricSpace, center: int, radius) -> tuple:
     """Indices of the closed ball around `center`."""
-    radius = as_fraction(radius)
-    return tuple(i for i in range(space.n) if space.d(center, i) <= radius)
+    mask = _ball_mask(space, center, _scaled(space, as_fraction(radius)))
+    return tuple(i for i in range(space.n) if mask >> i & 1)
 
 
-def _greedy_cover(universe: frozenset, candidates) -> list:
-    sets = dict(candidates)
-    uncovered = set(universe)
+def _greedy_cover(universe: int, candidates) -> list:
+    uncovered = universe
     chosen = []
     while uncovered:
-        best_c, best_gain = -1, 0
+        best_c, best_m, best_gain = -1, 0, 0
         for c, members in candidates:
-            gain = len(members & uncovered)
+            gain = (members & uncovered).bit_count()
             if gain > best_gain:
-                best_c, best_gain = c, gain
+                best_c, best_m, best_gain = c, members, gain
         if best_c < 0:
             raise RuntimeError("uncoverable element")  # impossible: x covers x
         chosen.append(best_c)
-        uncovered -= sets[best_c]
+        uncovered &= ~best_m
     return chosen
 
 
-def _exact_cover(universe: frozenset, candidates, warm_start: list) -> list:
+def _exact_cover(universe: int, candidates, warm_start: list) -> list:
     """Branch and bound minimum set cover, seeded with the greedy solution."""
     best = list(warm_start)
-    sets = {c: members for c, members in candidates}
-    max_size = max((len(m) for m in sets.values()), default=1)
+    sets = dict(candidates)
+    max_size = max((m.bit_count() for m in sets.values()), default=1)
+    # the candidates covering each element, keyed by its bit, in center order
+    covering_of = {}
+    rest = universe
+    while rest:
+        bit = rest & -rest
+        covering_of[bit] = [c for c, m in candidates if m & bit]
+        rest ^= bit
 
     def search(uncovered, chosen):
         nonlocal best
@@ -82,21 +106,24 @@ def _exact_cover(universe: frozenset, candidates, warm_start: list) -> list:
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if len(chosen) + -(-len(uncovered) // max_size) >= len(best):
+        if len(chosen) + -(-uncovered.bit_count() // max_size) >= len(best):
             return
-        # branch on the most constrained uncovered element
-        elem, covering = None, None
-        for e in sorted(uncovered):
-            cov = [c for c, m in candidates if e in m]
+        # branch on the most constrained uncovered element, lowest index first
+        covering = None
+        rest = uncovered
+        while rest:
+            bit = rest & -rest
+            cov = covering_of[bit]
             if covering is None or len(cov) < len(covering):
-                elem, covering = e, cov
-        covering.sort(key=lambda c: (-len(sets[c] & uncovered), c))
-        for c in covering:
+                covering = cov
+            rest ^= bit
+        for c in sorted(covering,
+                        key=lambda c: (-(sets[c] & uncovered).bit_count(), c)):
             chosen.append(c)
-            search(uncovered - sets[c], chosen)
+            search(uncovered & ~sets[c], chosen)
             chosen.pop()
 
-    search(set(universe), [])
+    search(universe, [])
     return best
 
 
@@ -114,21 +141,29 @@ def covering_number(space: MetricSpace, x: int, big_r, small_r,
         raise ValueError("covering radius must be positive")
     if big_r < small_r:
         raise ValueError("covered radius must be at least the covering radius")
-    universe = frozenset(ball(space, x, big_r))
+    universe = _ball_mask(space, x, _scaled(space, big_r))
+    small = _scaled(space, small_r)
 
     candidates = []
     seen = set()
-    for c in range(space.n):
-        members = frozenset(ball(space, c, small_r)) & universe
+    for c, (row, prefix) in enumerate(space.sorted_rows):
+        members = prefix[bisect_right(row, small)] & universe
         if members and members not in seen:
             candidates.append((c, members))
             seen.add(members)
     # drop sets strictly contained in another candidate
-    candidates = [(c, m) for c, m in candidates
-                  if not any(m < m2 for _, m2 in candidates)]
+    masks = [m for _, m in candidates]
+    maximal = []
+    for c, m in candidates:
+        for m2 in masks:
+            if m & m2 == m != m2:
+                break
+        else:
+            maximal.append((c, m))
+    candidates = maximal
 
     chosen = _greedy_cover(universe, candidates)
-    if len(universe) <= exact_threshold:
+    if universe.bit_count() <= exact_threshold:
         chosen = _exact_cover(universe, candidates, chosen)
         return CoverResult(len(chosen), tuple(sorted(chosen)), True)
     return CoverResult(len(chosen), tuple(sorted(chosen)), False)

@@ -26,6 +26,11 @@ def min_cost_transport(space, divergence: dict) -> tuple:
     `divergence` maps node index -> Fraction and must sum to zero.  Returns
     (cost, edges) with edges a tuple of (src, dst, amount), amount > 0,
     sorted by endpoint indices.
+
+    `space` must satisfy the triangle inequality, which is not checked here:
+    on a non-metric space the direct-edge network misses cheaper relays and
+    the cost returned is wrong, with no error.  Use `metric.validate` on
+    untrusted input first.
     """
     amount_scale, amounts = scale_to_ints(divergence.values())
     if sum(amounts) != 0:

@@ -139,7 +139,12 @@ def free_norm_dual(vec: FreeVector) -> tuple:
 
 def free_norm_flow(vec: FreeVector) -> tuple:
     """(norm, optimal plan): the exact cheapest transport realizing the
-    vector, the base node absorbing the coefficient imbalance."""
+    vector, the base node absorbing the coefficient imbalance.
+
+    The space is assumed to satisfy the triangle inequality: mass moves only
+    along direct edges, so a non-metric space gives a wrong norm and no
+    error.  Check untrusted spaces with `metric.validate` first.
+    """
     divergence = vec.as_dict()
     total = sum(divergence.values(), _ZERO)
     if total != 0:
@@ -149,7 +154,12 @@ def free_norm_flow(vec: FreeVector) -> tuple:
 
 
 def free_norm(vec: FreeVector) -> Fraction:
-    """Norm value only (computed by the transport route)."""
+    """Norm value only (computed by the transport route).
+
+    Assumes the triangle inequality, as `free_norm_flow` does: on a
+    non-metric space the value is wrong and no error is raised, so check
+    untrusted spaces with `metric.validate` first.
+    """
     return free_norm_flow(vec)[0]
 
 

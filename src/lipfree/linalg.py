@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-
 
 def identity(n: int) -> list:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -82,29 +80,3 @@ def rank(matrix) -> int:
         if rk == n_rows:
             break
     return rk
-
-
-def solve(matrix, rhs) -> list:
-    """Solve a square system exactly; None when singular."""
-    n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = -1
-        best = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                w = _pivot_weight(a[r][col])
-                if best is None or w < best:
-                    pivot_row, best = r, w
-        if pivot_row < 0:
-            return None
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        pv = a[col][col]
-        if pv != 1:
-            a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]

@@ -72,6 +72,21 @@ class MetricSpace:
         scale, flat = scale_to_ints(v for row in self.dist for v in row)
         return scale, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
+    @functools.cached_property
+    def sorted_rows(self) -> tuple:
+        """Per center c, (row, prefix): row c of `scaled` in ascending order,
+        and prefix[k] the bitmask (bit i for point i) of the points behind
+        its first k entries.  The closed ball of scaled radius R around c is
+        prefix[bisect_right(row, R)]."""
+        out = []
+        for row in self.scaled[1]:
+            order = sorted(range(self.n), key=row.__getitem__)
+            prefix = [0]
+            for i in order:
+                prefix.append(prefix[-1] | 1 << i)
+            out.append((tuple(row[i] for i in order), tuple(prefix)))
+        return tuple(out)
+
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 

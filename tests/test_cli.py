@@ -265,3 +265,18 @@ def test_solver_limit_exits_2(tmp_path, capsys, monkeypatch, module, limit,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"lipfree: error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["doubling", "suite"])
+def test_negative_threshold_flag_exits_2(tmp_path, capsys, subcommand):
+    path = write_space(tmp_path, path_space(4))
+    args = [str(path)] if subcommand == "doubling" else ["--spaces", "1"]
+    assert main([subcommand, *args, "--exact-threshold", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lipfree: error: --exact-threshold must be a "
+                            "nonnegative integer, got -1\n")
+    assert main([subcommand, *args, "--exact-threshold", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if subcommand == "doubling":
+        assert report["exact_threshold"] == 0 and not report["all_exact"]
