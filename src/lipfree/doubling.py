@@ -89,7 +89,6 @@ def _greedy_cover(universe: int, candidates) -> list:
 
 def _exact_cover(universe: int, candidates, warm_start: list) -> list:
     """Branch and bound minimum set cover, seeded with the greedy solution."""
-    best = list(warm_start)
     sets = dict(candidates)
     max_size = max((m.bit_count() for m in sets.values()), default=1)
     # the candidates covering each element, keyed by its bit, in center order
@@ -99,32 +98,39 @@ def _exact_cover(universe: int, candidates, warm_start: list) -> list:
         bit = rest & -rest
         covering_of[bit] = [c for c, m in candidates if m & bit]
         rest ^= bit
-
-    def search(uncovered, chosen):
-        nonlocal best
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if len(chosen) + -(-uncovered.bit_count() // max_size) >= len(best):
-            return
-        # branch on the most constrained uncovered element, lowest index first
-        covering = None
-        rest = uncovered
-        while rest:
-            bit = rest & -rest
-            cov = covering_of[bit]
-            if covering is None or len(cov) < len(covering):
-                covering = cov
-            rest ^= bit
-        for c in sorted(covering,
-                        key=lambda c: (-(sets[c] & uncovered).bit_count(), c)):
-            chosen.append(c)
-            search(uncovered & ~sets[c], chosen)
-            chosen.pop()
-
-    search(universe, [])
+    best = list(warm_start)
+    _branch(universe, [], best, sets, covering_of, max_size)
     return best
+
+
+def _branch(uncovered: int, chosen: list, best: list, sets: dict,
+            covering_of: dict, max_size: int) -> None:
+    """One node of the `_exact_cover` search; improves `best` in place.
+
+    A module-level function rather than a recursive closure: a closure that
+    calls itself is a reference cycle, which would keep every search table
+    alive until the cyclic garbage collector runs."""
+    if not uncovered:
+        if len(chosen) < len(best):
+            best[:] = chosen
+        return
+    if len(chosen) + -(-uncovered.bit_count() // max_size) >= len(best):
+        return
+    # branch on the most constrained uncovered element, lowest index first
+    covering = None
+    rest = uncovered
+    while rest:
+        bit = rest & -rest
+        cov = covering_of[bit]
+        if covering is None or len(cov) < len(covering):
+            covering = cov
+        rest ^= bit
+    for c in sorted(covering,
+                    key=lambda c: (-(sets[c] & uncovered).bit_count(), c)):
+        chosen.append(c)
+        _branch(uncovered & ~sets[c], chosen, best, sets, covering_of,
+                max_size)
+        chosen.pop()
 
 
 def covering_number(space: MetricSpace, x: int, big_r, small_r,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -318,3 +319,19 @@ def test_pinned_cover_tie_breaks():
     res = covering_number(space, 2, Fraction(8, 3), Fraction(4, 3))
     assert repr(res) == \
         "CoverResult(count=4, centers=(3, 5, 6, 10), exact=True)"
+
+
+def test_doubling_leaves_no_cyclic_garbage():
+    # Every exact cover search frees its tables by reference counting, so a
+    # doubling report leaves nothing for the cyclic collector to find later,
+    # in the middle of unrelated work.
+    space = path_space(10)
+    gc.collect()
+    gc.disable()
+    try:
+        report = doubling_constant(space)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert report.all_exact
+    assert unreachable == 0
