@@ -25,8 +25,8 @@ from .lipschitz import lipschitz_number
 from .metric import MetricSpace, PointMap, coproduct, quotient, validate
 from .suite import run_suite
 from .witness import (delta, discrete_witness, free_basis_constant,
-                      normalize_basis, projection_split, quotient_witness,
-                      validate_witness)
+                      normalize_basis, operator_norm, projection_split,
+                      quotient_witness, validate_witness)
 
 FLOAT_TOL = 1e-9
 THRESHOLD_ENV = "LIPFREE_EXACT_THRESHOLD"
@@ -34,7 +34,6 @@ THRESHOLD_ENV = "LIPFREE_EXACT_THRESHOLD"
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
     float_mode: bool
     seed: int
     exact_threshold: int
@@ -102,6 +101,21 @@ def _parse_pairs(text: str) -> list:
     return out
 
 
+def _pi_images(space: MetricSpace, text: str) -> list:
+    """Projection images from "label:label_or_0" pairs, one per non-base
+    point; "0" maps a point to zero."""
+    table = dict(_parse_pairs(text))
+    images = []
+    for x in space.non_base():
+        lbl = space.label(x)
+        if lbl not in table:
+            raise ValueError(f"projection images must cover {lbl!r}")
+        target = table[lbl]
+        images.append(None if target == "0"
+                      else delta(space, space.index(target)))
+    return images
+
+
 def cmd_validate(cfg: RunConfig, args) -> int:
     space = _load_space(args.space)
     violations = validate(space)
@@ -137,13 +151,18 @@ def cmd_norm(cfg: RunConfig, args) -> int:
     return 0 if agree else 1
 
 
-def _write_witness(cfg: RunConfig, witness, path: str) -> dict:
+def _checked_report(witness):
     report = validate_witness(witness)
     if not report.invertible:
         raise ValueError(f"construction produced a non-invertible witness: "
                          f"{report.reason}")
+    return report
+
+
+def _write_witness(cfg: RunConfig, report, path: str) -> dict:
+    """Write the witness (if `path`) and render the norms `report` holds."""
     if path:
-        io.dump_json(io.witness_to_dict(witness), path)
+        io.dump_json(io.witness_to_dict(report.witness), path)
     return {
         "witness_file": path,
         "operator_norm": _render(cfg, report.norm),
@@ -186,31 +205,23 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         io.dump_json(io.basis_to_dict(space, scaled, names), args.output)
         report = {"numeric_mode": cfg.numeric_mode, "kind": "normalize",
                   "basis_file": args.output,
-                  **_write_witness(cfg, witness, args.witness_out)}
+                  **_write_witness(cfg, _checked_report(witness),
+                                   args.witness_out)}
         _emit(report)
         return 0
 
     if args.kind == "project":
         if not args.pi:
             raise ValueError("project needs --pi with projection images")
-        table = dict(_parse_pairs(args.pi))
-        nb = space.non_base()
-        pi_images = []
-        for x in nb:
-            lbl = space.label(x)
-            if lbl not in table:
-                raise ValueError(f"projection images must cover {lbl!r}")
-            target = table[lbl]
-            pi_images.append(None if target == "0"
-                             else delta(space, space.index(target)))
-        split = projection_split(space, pi_images)
+        split = projection_split(space, _pi_images(space, args.pi))
         io.dump_json(io.basis_to_dict(space, split.basis, split.labels),
                      args.output)
         report = {"numeric_mode": cfg.numeric_mode, "kind": "project",
                   "basis_file": args.output,
                   "projector_norm": _render(cfg, split.projector_norm),
                   "complement_norm": _render(cfg, split.complement_norm),
-                  **_write_witness(cfg, split.witness, args.witness_out)}
+                  **_write_witness(cfg, _checked_report(split.witness),
+                                   args.witness_out)}
         _emit(report)
         return 0
 
@@ -229,31 +240,22 @@ def cmd_witness(cfg: RunConfig, args) -> int:
                 lbl = space.label(i)
                 image.append(space.index(table[lbl]) if lbl in table else i)
             retraction = PointMap.create(space, space, tuple(image))
-            witness = quotient_witness(space, retraction)
+            report = _checked_report(quotient_witness(space, retraction))
         elif args.kind == "discrete":
-            data = discrete_witness(space)
-            witness = data.witness
+            report = discrete_witness(space)
         elif args.kind == "normalize":
-            witness = normalize_basis(space)[1]
+            report = _checked_report(normalize_basis(space)[1])
         elif args.kind == "project":
-            table = dict(_parse_pairs(args.pi or ""))
-            pi_images = []
-            for x in space.non_base():
-                lbl = space.label(x)
-                if lbl not in table:
-                    raise ValueError(f"projection images must cover {lbl!r}")
-                target = table[lbl]
-                pi_images.append(None if target == "0"
-                                 else delta(space, space.index(target)))
-            witness = projection_split(space, pi_images).witness
+            split = projection_split(space, _pi_images(space, args.pi or ""))
+            report = _checked_report(split.witness)
         else:
             raise ValueError(f"unknown witness kind {args.kind!r}")
-        report = {"numeric_mode": cfg.numeric_mode, "kind": args.kind,
-                  **_write_witness(cfg, witness, args.witness_out)}
+        payload = {"numeric_mode": cfg.numeric_mode, "kind": args.kind,
+                   **_write_witness(cfg, report, args.witness_out)}
         if args.kind == "discrete":
-            report["separation"] = _render(cfg, data.theta)
-            report["diameter"] = _render(cfg, data.diameter)
-        _emit(report)
+            payload["separation"] = _render(cfg, report.theta)
+            payload["diameter"] = _render(cfg, report.diameter)
+        _emit(payload)
         return 0
 
     if args.action == "basis-constant":
@@ -272,6 +274,11 @@ def cmd_witness(cfg: RunConfig, args) -> int:
     witness = io.witness_from_dict(
         io.load_json(args.witness),
         base_dir=os.path.dirname(os.path.abspath(args.witness)))
+    if args.action == "opnorm":
+        _emit({"numeric_mode": cfg.numeric_mode,
+               "operator_norm": _render(cfg, operator_norm(witness))},
+              args.output)
+        return 0
     report = validate_witness(witness)
     if args.action == "check":
         payload = {"numeric_mode": cfg.numeric_mode,
@@ -285,10 +292,6 @@ def cmd_witness(cfg: RunConfig, args) -> int:
                 report.inverse)["images"]
         _emit(payload, args.output)
         return 0 if report.invertible else 1
-    if args.action == "opnorm":
-        _emit({"numeric_mode": cfg.numeric_mode,
-               "operator_norm": _render(cfg, report.norm)}, args.output)
-        return 0
     if args.action == "condition":
         _emit({"numeric_mode": cfg.numeric_mode,
                "invertible": report.invertible,
@@ -329,6 +332,12 @@ def cmd_doubling(cfg: RunConfig, args) -> int:
 
 
 def cmd_suite(cfg: RunConfig, args) -> int:
+    if args.spaces < 0:
+        raise ValueError("--spaces must be a nonnegative integer, "
+                         f"got {args.spaces!r}")
+    if args.max_size < 2:
+        raise ValueError("--max-size must be an integer of at least 2, "
+                         f"got {args.max_size!r}")
     report = run_suite(seed=cfg.seed, max_size=args.max_size,
                        spaces=args.spaces,
                        exact_threshold=cfg.exact_threshold)
@@ -416,8 +425,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(subcommand=args.subcommand,
-                        float_mode=args.float_mode,
+        cfg = RunConfig(float_mode=args.float_mode,
                         seed=getattr(args, "seed", 0),
                         exact_threshold=_exact_threshold(args))
         return _HANDLERS[args.subcommand](cfg, args)

@@ -62,8 +62,17 @@ def space_from_dict(data) -> MetricSpace:
         dist = data["dist"]
     except KeyError as exc:
         raise ValueError(f"space document missing key {exc}") from None
-    rows = tuple(tuple(parse_rational(v) for v in row) for row in dist)
-    return MetricSpace(tuple(points), int(base), rows)
+    points = tuple(_list_at(points, "points"))
+    rows = tuple(tuple(parse_rational(v) for v in _list_at(row, f"dist[{i}]"))
+                 for i, row in enumerate(_list_at(dist, "dist")))
+    return MetricSpace(points, base, rows)
+
+
+def _list_at(value, path: str) -> list:
+    """`value`, or ValueError naming its `path` in the document."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: expected a list")
+    return value
 
 
 def require_valid(space: MetricSpace, what: str) -> MetricSpace:

@@ -1,9 +1,9 @@
 """Randomized property batteries behind the `suite` subcommand.
 
-Each battery draws from a shared pool of seeded random spaces and returns a
-machine-readable verdict; the first failing case is dumped as a
-counterexample.  With the same seed and sizes the whole report is
-reproducible byte for byte.
+Each battery draws from a shared pool of seeded random spaces.  It is a
+generator: a bare `yield` starts a case and a yielded dict is the
+counterexample that ends the battery.  With the same seed and sizes the whole
+report is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from fractions import Fraction
 
 from . import io
 from .doubling import covering_number, doubling_constant, uniform_discreteness
-from .free import (FreeVector, delta, four_point_norm, free_norm_dual,
-                   free_norm_flow, molecule, support)
-from .lipschitz import (LipFunction, lipschitz_number, mcshane_extend,
-                        pairing, separating_function)
+from .free import delta, four_point_norm, free_norm_dual, free_norm_flow
+from .lipschitz import (lipschitz_number, mcshane_extend, pairing,
+                        separating_function)
 from .metric import (MetricSpace, coproduct, equilateral_space, path_space,
                      quotient, subspace, validate)
 from .randgen import (random_direction, random_lip_function,
@@ -30,67 +29,58 @@ from .witness import (LinearWitness, apply, discrete_witness,
 _ZERO = Fraction(0)
 
 
-def _result(name, cases, failure=None):
+def _run(name, battery, *args) -> dict:
+    """Count the cases of `battery(*args)` up to its first counterexample."""
+    cases, failure = 0, None
+    for failure in battery(*args):
+        if failure is not None:
+            break
+        cases += 1
     return {"name": name, "passed": failure is None, "cases": cases,
             "counterexample": failure}
 
 
-def _space_dump(space):
-    return io.space_to_dict(space)
-
-
 def _battery_quotient_valid(rng, pool):
-    checked = 0
     for space in pool:
         collapse = random_subset(rng, space)
         qspace, qmap = quotient(space, collapse)
-        checked += 1
+        yield
         violations = validate(qspace)
         if violations:
-            return _result("metric.quotient_valid", checked, {
-                "space": _space_dump(space), "collapse": collapse,
-                "violations": violations})
+            yield {"space": io.space_to_dict(space), "collapse": collapse,
+                   "violations": violations}
         if qmap.lipschitz > 1:
-            return _result("metric.quotient_valid", checked, {
-                "space": _space_dump(space), "collapse": collapse,
-                "quotient_map_lipschitz": str(qmap.lipschitz)})
-    return _result("metric.quotient_valid", checked)
+            yield {"space": io.space_to_dict(space), "collapse": collapse,
+                   "quotient_map_lipschitz": str(qmap.lipschitz)}
 
 
 def _battery_sum_assoc_neutral(rng, pool):
-    checked = 0
     one_point = MetricSpace(("e",), 0, ((0,),))
     for k in range(0, len(pool) - 2, 3):
         a, b, c = pool[k], pool[k + 1], pool[k + 2]
         left = coproduct(coproduct(a, b), c)
         right = coproduct(a, coproduct(b, c))
-        checked += 1
+        yield
         if left.dist != right.dist or left.base != right.base:
-            return _result("metric.sum_assoc_neutral", checked, {
-                "a": _space_dump(a), "b": _space_dump(b), "c": _space_dump(c)})
+            yield {"a": io.space_to_dict(a), "b": io.space_to_dict(b),
+                   "c": io.space_to_dict(c)}
         padded = coproduct(a, one_point)
         if padded.dist != a.dist or padded.points != a.points:
-            return _result("metric.sum_assoc_neutral", checked,
-                           {"a": _space_dump(a), "issue": "neutral element"})
-    return _result("metric.sum_assoc_neutral", checked)
+            yield {"a": io.space_to_dict(a), "issue": "neutral element"}
 
 
 def _battery_subspace_valid(rng, pool):
-    checked = 0
     for space in pool:
         keep = sorted(set(random_subset(rng, space)) | {space.base})
         sub = subspace(space, keep)
-        checked += 1
+        yield
         violations = validate(sub)
         if violations:
-            return _result("metric.subspace_valid", checked, {
-                "space": _space_dump(space), "keep": keep,
-                "violations": violations})
-    return _result("metric.subspace_valid", checked)
+            yield {"space": io.space_to_dict(space), "keep": keep,
+                   "violations": violations}
 
 
 def _battery_separating(rng, pool):
-    checked = 0
     for space in pool:
         others = [x for x in range(space.n) if x != space.base]
         if not others:
@@ -99,123 +89,100 @@ def _battery_separating(rng, pool):
         blocked = [a for a in range(space.n)
                    if a not in (x, space.base) and rng.random() < 0.4]
         f = separating_function(space, blocked, x)
-        checked += 1
+        yield
         anchors = set(blocked) | {space.base}
         scale = min(space.d(x, a) for a in anchors)
         ok = (f.values[x] == 1
               and all(f.values[a] == 0 for a in anchors)
               and lipschitz_number(f) == 1 / scale)
         if not ok:
-            return _result("lip.separating_conditions", checked, {
-                "space": _space_dump(space), "blocked": blocked, "x": x,
-                "values": [str(v) for v in f.values]})
-    return _result("lip.separating_conditions", checked)
+            yield {"space": io.space_to_dict(space), "blocked": blocked,
+                   "x": x, "values": [str(v) for v in f.values]}
 
 
 def _battery_mcshane(rng, pool):
-    checked = 0
     for space in pool:
         keep = sorted(set(random_subset(rng, space)) | {space.base})
         sub = subspace(space, keep)
         f = random_lip_function(rng, sub)
         g = mcshane_extend(f, space)
-        checked += 1
+        yield
         restricted = [g.values[space.index(lbl)] for lbl in sub.points]
         if tuple(restricted) != f.values or \
                 lipschitz_number(g) != lipschitz_number(f):
-            return _result("lip.mcshane_extension", checked, {
-                "space": _space_dump(space), "keep": keep,
-                "f": [str(v) for v in f.values]})
-    return _result("lip.mcshane_extension", checked)
+            yield {"space": io.space_to_dict(space), "keep": keep,
+                   "f": [str(v) for v in f.values]}
 
 
 def _battery_duality_inequality(rng, pool):
-    checked = 0
     for space in pool:
         vec = random_vector(rng, space, integral=False)
         f = random_lip_function(rng, space)
-        checked += 1
+        yield
         bound = free_norm_flow(vec)[0] * lipschitz_number(f)
         if abs(pairing(vec, f)) > bound:
-            return _result("lip.duality_inequality", checked, {
-                "space": _space_dump(space),
-                "vector": io.freevector_to_dict(vec)["coeffs"],
-                "f": [str(v) for v in f.values]})
-    return _result("lip.duality_inequality", checked)
+            yield {"space": io.space_to_dict(space),
+                   "vector": io.freevector_to_dict(vec)["coeffs"],
+                   "f": [str(v) for v in f.values]}
 
 
 def _battery_isometry(rng, pool):
-    checked = 0
     for space in pool:
         for x, y in space.pairs():
             value = free_norm_dual(delta(space, x) - delta(space, y))[0]
-            checked += 1
+            yield
             if value != space.d(x, y):
-                return _result("free.isometry", checked, {
-                    "space": _space_dump(space), "pair": [x, y],
-                    "norm": str(value), "distance": str(space.d(x, y))})
-    return _result("free.isometry", checked)
+                yield {"space": io.space_to_dict(space), "pair": [x, y],
+                       "norm": str(value), "distance": str(space.d(x, y))}
 
 
 def _battery_strong_duality(rng, pool):
-    checked = 0
     for space in pool:
         vec = random_vector(rng, space)
         dual = free_norm_dual(vec)[0]
         primal = free_norm_flow(vec)[0]
-        checked += 1
+        yield
         if dual != primal:
-            return _result("free.strong_duality", checked, {
-                "space": _space_dump(space),
-                "vector": io.freevector_to_dict(vec)["coeffs"],
-                "dual": str(dual), "flow": str(primal)})
-    return _result("free.strong_duality", checked)
+            yield {"space": io.space_to_dict(space),
+                   "vector": io.freevector_to_dict(vec)["coeffs"],
+                   "dual": str(dual), "flow": str(primal)}
 
 
 def _battery_four_point(rng, pool):
-    checked = 0
     for space in pool:
         for _ in range(4):
             a, b, c, d = (rng.randrange(space.n) for _ in range(4))
             vec = (delta(space, a) - delta(space, b)
                    + delta(space, c) - delta(space, d))
-            checked += 1
+            yield
             if four_point_norm(space, a, b, c, d) != free_norm_dual(vec)[0]:
-                return _result("free.four_point", checked, {
-                    "space": _space_dump(space), "tuple": [a, b, c, d]})
-    return _result("free.four_point", checked)
+                yield {"space": io.space_to_dict(space), "tuple": [a, b, c, d]}
 
 
 def _battery_norm_axioms(rng, pool):
-    checked = 0
     for space in pool:
         u = random_vector(rng, space, integral=False)
         v = random_vector(rng, space, integral=False)
         t = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
         nu, nv = free_norm_flow(u)[0], free_norm_flow(v)[0]
-        checked += 1
+        yield
         if free_norm_flow(t * u)[0] != abs(t) * nu:
-            return _result("free.norm_axioms", checked, {
-                "space": _space_dump(space), "issue": "homogeneity"})
+            yield {"space": io.space_to_dict(space), "issue": "homogeneity"}
         if free_norm_flow(u + v)[0] > nu + nv:
-            return _result("free.norm_axioms", checked, {
-                "space": _space_dump(space), "issue": "triangle"})
+            yield {"space": io.space_to_dict(space), "issue": "triangle"}
         if (nu == 0) != u.is_zero():
-            return _result("free.norm_axioms", checked, {
-                "space": _space_dump(space), "issue": "definiteness"})
-    return _result("free.norm_axioms", checked)
+            yield {"space": io.space_to_dict(space), "issue": "definiteness"}
 
 
 def _battery_certificates(rng, pool):
-    checked = 0
     for space in pool:
         vec = random_vector(rng, space, integral=False)
         dual, opt_f = free_norm_dual(vec)
         cost, plan = free_norm_flow(vec)
-        checked += 1
+        yield
         if pairing(vec, opt_f) != dual or lipschitz_number(opt_f) > 1:
-            return _result("free.certificates", checked, {
-                "space": _space_dump(space), "issue": "dual certificate"})
+            yield {"space": io.space_to_dict(space),
+                   "issue": "dual certificate"}
         recomputed = sum((amt * space.d(s, t) for s, t, amt in plan.edges),
                         _ZERO)
         divergence = plan.divergence()
@@ -224,9 +191,8 @@ def _battery_certificates(rng, pool):
         if total != 0:
             wanted[space.base] = -total
         if recomputed != cost or divergence != wanted:
-            return _result("free.certificates", checked, {
-                "space": _space_dump(space), "issue": "flow certificate"})
-    return _result("free.certificates", checked)
+            yield {"space": io.space_to_dict(space),
+                   "issue": "flow certificate"}
 
 
 def _make_witnesses(rng, space):
@@ -245,43 +211,35 @@ def _make_witnesses(rng, space):
 
 
 def _battery_witness_roundtrip(rng, pool):
-    checked = 0
     for space in pool:
         for kind, w in _make_witnesses(rng, space):
             report = validate_witness(w)
-            checked += 1
+            yield
             if not report.invertible:
-                return _result("witness.roundtrip", checked, {
-                    "space": _space_dump(space), "kind": kind,
-                    "reason": report.reason})
+                yield {"space": io.space_to_dict(space), "kind": kind,
+                       "reason": report.reason}
             for _ in range(3):
                 vec = random_vector(rng, w.source, integral=False)
                 if apply(report.inverse, apply(w, vec)) != vec:
-                    return _result("witness.roundtrip", checked, {
-                        "space": _space_dump(space), "kind": kind,
-                        "issue": "inverse roundtrip"})
-    return _result("witness.roundtrip", checked)
+                    yield {"space": io.space_to_dict(space), "kind": kind,
+                           "issue": "inverse roundtrip"}
 
 
 def _battery_quotient_pullback(rng, pool):
-    checked = 0
     for space in pool:
         retraction = random_retraction(rng, space)
         w = quotient_witness(space, retraction)
         for _ in range(3):
             f = random_lip_function(rng, w.target)
-            checked += 1
+            yield
             bound = lipschitz_number(f) * (retraction.lipschitz + 1)
             if lipschitz_number(pullback(w, f)) > bound:
-                return _result("witness.quotient_pullback", checked, {
-                    "space": _space_dump(space),
-                    "retraction": list(retraction.image),
-                    "f": [str(v) for v in f.values]})
-    return _result("witness.quotient_pullback", checked)
+                yield {"space": io.space_to_dict(space),
+                       "retraction": list(retraction.image),
+                       "f": [str(v) for v in f.values]}
 
 
 def _battery_projection_extension(rng, pool):
-    checked = 0
     for space in pool:
         nb = space.non_base()
         pi_map = random_projection_map(rng, len(nb))
@@ -291,49 +249,38 @@ def _battery_projection_extension(rng, pool):
         stretch = split.projector_norm + split.complement_norm
         for _ in range(3):
             f = random_lip_function(rng, split.witness.target)
-            checked += 1
+            yield
             if lipschitz_number(pullback(split.witness, f)) > \
                     lipschitz_number(f) * stretch:
-                return _result("witness.projection_extension", checked, {
-                    "space": _space_dump(space), "pi": pi_map,
-                    "f": [str(v) for v in f.values]})
-    return _result("witness.projection_extension", checked)
+                yield {"space": io.space_to_dict(space), "pi": pi_map,
+                       "f": [str(v) for v in f.values]}
 
 
 def _battery_opnorm_oracle(rng, pool):
-    checked = 0
     for space in pool:
         if space.n > 6:
             continue
         for kind, w in _make_witnesses(rng, space):
             directions = [random_direction(rng, w.source) for _ in range(8)]
-            checked += 1
+            yield
             if operator_norm(w) != operator_norm_oracle(w, directions):
-                return _result("witness.opnorm_oracle", checked, {
-                    "space": _space_dump(space), "kind": kind})
-    return _result("witness.opnorm_oracle", checked)
+                yield {"space": io.space_to_dict(space), "kind": kind}
 
 
 def _battery_normalization(rng, pool):
-    checked = 0
     for space in pool:
         scaled, w = normalize_basis(space)
         report = validate_witness(w)
-        checked += 1
+        yield
         if any(free_norm_dual(vec)[0] != 1 for vec in scaled):
-            return _result("witness.normalization", checked, {
-                "space": _space_dump(space), "issue": "unit norm"})
+            yield {"space": io.space_to_dict(space), "issue": "unit norm"}
         if len(set(scaled)) != len(scaled):
-            return _result("witness.normalization", checked, {
-                "space": _space_dump(space), "issue": "injectivity"})
+            yield {"space": io.space_to_dict(space), "issue": "injectivity"}
         if not report.invertible:
-            return _result("witness.normalization", checked, {
-                "space": _space_dump(space), "issue": "invertibility"})
-    return _result("witness.normalization", checked)
+            yield {"space": io.space_to_dict(space), "issue": "invertibility"}
 
 
 def _battery_covering_monotone(rng, pool):
-    checked = 0
     for space in pool:
         dists = sorted({space.d(i, j) for i, j in space.pairs()
                         if space.d(i, j) > 0})
@@ -343,21 +290,19 @@ def _battery_covering_monotone(rng, pool):
         big = dists[-1]
         radii = sorted({d / 2 for d in dists} | set(dists))
         counts = [covering_number(space, x, big, r).count for r in radii]
-        checked += 1
+        yield
         if any(a < b for a, b in zip(counts, counts[1:])):
-            return _result("doubling.monotonicity", checked, {
-                "space": _space_dump(space), "issue": "radius monotonicity"})
+            yield {"space": io.space_to_dict(space),
+                   "issue": "radius monotonicity"}
         small = radii[0]
         outer = [covering_number(space, x, r, small).count
                  for r in radii if r >= small]
         if any(a > b for a, b in zip(outer, outer[1:])):
-            return _result("doubling.monotonicity", checked, {
-                "space": _space_dump(space), "issue": "ball monotonicity"})
-    return _result("doubling.monotonicity", checked)
+            yield {"space": io.space_to_dict(space),
+                   "issue": "ball monotonicity"}
 
 
 def _battery_greedy_vs_exact(rng, pool):
-    checked = 0
     for space in pool:
         dists = sorted({space.d(i, j) for i, j in space.pairs()
                         if space.d(i, j) > 0})
@@ -368,33 +313,52 @@ def _battery_greedy_vs_exact(rng, pool):
         greedy = covering_number(space, x, 2 * r, r, exact_threshold=0)
         exact = covering_number(space, x, 2 * r, r,
                                 exact_threshold=space.n)
-        checked += 1
+        yield
         if greedy.count < exact.count or not exact.exact or greedy.exact:
-            return _result("doubling.greedy_vs_exact", checked, {
-                "space": _space_dump(space), "r": str(r),
-                "greedy": greedy.count, "exact": exact.count})
-    return _result("doubling.greedy_vs_exact", checked)
+            yield {"space": io.space_to_dict(space), "r": str(r),
+                   "greedy": greedy.count, "exact": exact.count}
 
 
-def _battery_doubling_divergence(exact_threshold):
-    checked = 0
-    for n in (4, 8):
+def _battery_doubling_divergence(pool, exact_threshold):
+    for n in (4, 8) if pool else ():
         path_report = doubling_constant(path_space(n), exact_threshold)
         flat = equilateral_space(n)
         flat_report = doubling_constant(flat, exact_threshold)
         disc = uniform_discreteness(flat)
         witness_data = discrete_witness(flat)
-        checked += 1
+        yield
         ok = (path_report.doubling_max <= 3
               and flat_report.doubling_max == n
               and witness_data.condition is not None
               and witness_data.condition <= 2 * disc.ratio)
         if not ok:
-            return _result("doubling.divergence", checked, {
-                "n": n, "path_max": path_report.doubling_max,
-                "equilateral_max": flat_report.doubling_max,
-                "condition": str(witness_data.condition)})
-    return _result("doubling.divergence", checked)
+            yield {"n": n, "path_max": path_report.doubling_max,
+                   "equilateral_max": flat_report.doubling_max,
+                   "condition": str(witness_data.condition)}
+
+
+# Report name, battery and how many spaces from the front of the pool it
+# draws (None: all of them), in report order; each takes (rng, spaces).
+_BATTERIES = (
+    ("metric.quotient_valid", _battery_quotient_valid, None),
+    ("metric.sum_assoc_neutral", _battery_sum_assoc_neutral, None),
+    ("metric.subspace_valid", _battery_subspace_valid, None),
+    ("lip.separating_conditions", _battery_separating, None),
+    ("lip.mcshane_extension", _battery_mcshane, None),
+    ("lip.duality_inequality", _battery_duality_inequality, None),
+    ("free.isometry", _battery_isometry, 80),
+    ("free.strong_duality", _battery_strong_duality, None),
+    ("free.four_point", _battery_four_point, 20),
+    ("free.norm_axioms", _battery_norm_axioms, 80),
+    ("free.certificates", _battery_certificates, 80),
+    ("witness.roundtrip", _battery_witness_roundtrip, 24),
+    ("witness.quotient_pullback", _battery_quotient_pullback, 40),
+    ("witness.projection_extension", _battery_projection_extension, 24),
+    ("witness.opnorm_oracle", _battery_opnorm_oracle, 24),
+    ("witness.normalization", _battery_normalization, 40),
+    ("doubling.monotonicity", _battery_covering_monotone, None),
+    ("doubling.greedy_vs_exact", _battery_greedy_vs_exact, None),
+)
 
 
 def run_suite(seed: int = 0, max_size: int = 8, spaces: int = 200,
@@ -411,31 +375,11 @@ def run_suite(seed: int = 0, max_size: int = 8, spaces: int = 200,
                 for _ in range(max(0, spaces))]
     pool = list(pool)
 
-    heavy = pool[:min(len(pool), 80)]
-    light = pool
-
-    batteries = [
-        _battery_quotient_valid(rng, light),
-        _battery_sum_assoc_neutral(rng, light),
-        _battery_subspace_valid(rng, light),
-        _battery_separating(rng, light),
-        _battery_mcshane(rng, light),
-        _battery_duality_inequality(rng, light),
-        _battery_isometry(rng, heavy),
-        _battery_strong_duality(rng, light),
-        _battery_four_point(rng, heavy[:20]),
-        _battery_norm_axioms(rng, heavy),
-        _battery_certificates(rng, heavy),
-        _battery_witness_roundtrip(rng, heavy[:24]),
-        _battery_quotient_pullback(rng, heavy[:40]),
-        _battery_projection_extension(rng, heavy[:24]),
-        _battery_opnorm_oracle(rng, heavy[:24]),
-        _battery_normalization(rng, heavy[:40]),
-        _battery_covering_monotone(rng, light),
-        _battery_greedy_vs_exact(rng, light),
-        (_battery_doubling_divergence(exact_threshold)
-         if pool else _result("doubling.divergence", 0)),
-    ]
+    batteries = [_run(name, battery, rng, pool[:size])
+                 for name, battery, size in _BATTERIES]
+    # The last battery draws no spaces; it only needs a nonempty pool.
+    batteries.append(_run("doubling.divergence", _battery_doubling_divergence,
+                          pool, exact_threshold))
     return {
         "seed": seed,
         "max_size": max_size,

@@ -250,6 +250,28 @@ def normalize_basis(space: MetricSpace) -> tuple:
     return scaled, LinearWitness(space, target, images)
 
 
+def _basis_inverse(space: MetricSpace, basis: tuple, what: str) -> list:
+    """Inverse of the matrix whose k-th column holds basis[k] in the point
+    evaluations of `space`; ValueError unless the family is a basis of the
+    free space."""
+    nb = space.non_base()
+    p = len(basis)
+    if p != len(nb):
+        raise ValueError(f"{what} must span the free space "
+                         f"({p} vectors for dimension {len(nb)})")
+    coord = {x: r for r, x in enumerate(nb)}
+    bmat = [[_ZERO] * p for _ in range(p)]
+    for k, vec in enumerate(basis):
+        if vec.space != space:
+            raise ValueError(f"{what} vectors must live over the space")
+        for i, value in vec.coeffs:
+            bmat[coord[i]][k] = value
+    binv = linalg.invert(bmat)
+    if binv is None:
+        raise ValueError(f"{what} is linearly dependent")
+    return binv
+
+
 @dataclass(frozen=True)
 class ProjectionSplit:
     """Output of :func:`projection_split`: the new spanning family, its
@@ -288,9 +310,7 @@ def projection_split(space: MetricSpace, pi_images, basis=None,
     p = len(basis)
     if len(labels) != p or len(pi_images) != p:
         raise ValueError("basis, labels and projection images must align")
-    if p != len(nb):
-        raise ValueError("basis must span the free space "
-                         f"({p} vectors for dimension {len(nb)})")
+    binv = _basis_inverse(space, basis, "basis")
 
     pi_idx = []
     for img in pi_images:
@@ -308,50 +328,32 @@ def projection_split(space: MetricSpace, pi_images, basis=None,
         if t is not None and pi_idx[t] != t:
             raise ValueError("map is not idempotent on the basis")
 
-    coord = {x: r for r, x in enumerate(nb)}
-    bmat = [[_ZERO] * p for _ in range(p)]
-    for k, vec in enumerate(basis):
-        for i, value in vec.coeffs:
-            bmat[coord[i]][k] = value
-    binv = linalg.invert(bmat)
-    if binv is None:
-        raise ValueError("basis is linearly dependent")
-
+    # The fixed vectors come first, then the complement of every other basis
+    # vector; slot[k] is the point of the inherited space that holds basis[k]
+    # if pi fixes it, else its complement.
+    order = ([k for k in range(p) if pi_idx[k] == k]
+             + [k for k in range(p) if pi_idx[k] != k])
+    slot = {k: r + 1 for r, k in enumerate(order)}
     new_vecs, new_labels = [], []
-    for k in range(p):
-        if pi_idx[k] == k:
+    for k in order:
+        if pi_idx[k] in (k, None):
             new_vecs.append(basis[k])
             new_labels.append(labels[k])
-    for k in range(p):
-        if pi_idx[k] == k:
-            continue
-        if pi_idx[k] is None:
-            comp = basis[k]
-            lbl = labels[k]
         else:
-            comp = basis[k] - basis[pi_idx[k]]
-            lbl = f"s({labels[k]})"
-        new_vecs.append(comp)
-        new_labels.append(lbl)
-    if len(new_vecs) != p:
-        raise RuntimeError("split did not preserve dimension")
-    coeff_rows = [[vec.coeff(x) for x in nb] for vec in new_vecs]
-    if linalg.rank(coeff_rows) != p:
-        raise RuntimeError("split family is not linearly independent")
+            new_vecs.append(basis[k] - basis[pi_idx[k]])
+            new_labels.append(f"s({labels[k]})")
 
     old_space = _inherited_space(space, basis, labels, space.label(space.base))
     new_space = _inherited_space(space, new_vecs, tuple(new_labels),
                                  space.label(space.base))
-    new_pos = {lbl: k + 1 for k, lbl in enumerate(new_labels)}
 
     images = []
     for k in range(p):
         acc = {}
         if pi_idx[k] is not None:
-            acc[new_pos[labels[pi_idx[k]]]] = _ONE
+            acc[slot[pi_idx[k]]] = _ONE
         if pi_idx[k] != k:
-            lbl = labels[k] if pi_idx[k] is None else f"s({labels[k]})"
-            acc[new_pos[lbl]] = acc.get(new_pos[lbl], _ZERO) + _ONE
+            acc[slot[k]] = _ONE
         images.append(FreeVector(new_space, tuple(acc.items())))
     witness = LinearWitness(old_space, new_space, tuple(images))
 
@@ -416,24 +418,11 @@ def free_basis_constant(space: MetricSpace, basis, labels=None) -> Fraction:
     evaluation in the family's coordinates, measured between the original
     free norm and the free norm over the metric the family inherits.
     """
-    nb = space.non_base()
     basis = tuple(basis)
     p = len(basis)
-    if p != len(nb):
-        raise ValueError("family must span the free space "
-                         f"({p} vectors for dimension {len(nb)})")
+    binv = _basis_inverse(space, basis, "family")
     if labels is None:
         labels = tuple(f"b{k}" for k in range(p))
-    coord = {x: r for r, x in enumerate(nb)}
-    bmat = [[_ZERO] * p for _ in range(p)]
-    for k, vec in enumerate(basis):
-        if vec.space != space:
-            raise ValueError("family vectors must live over the space")
-        for i, value in vec.coeffs:
-            bmat[coord[i]][k] = value
-    binv = linalg.invert(bmat)
-    if binv is None:
-        raise ValueError("family is linearly dependent")
     inherited = _inherited_space(space, basis, tuple(labels),
                                  space.label(space.base))
     images = []

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -280,3 +281,91 @@ def test_negative_threshold_flag_exits_2(tmp_path, capsys, subcommand):
     report = json.loads(capsys.readouterr().out)
     if subcommand == "doubling":
         assert report["exact_threshold"] == 0 and not report["all_exact"]
+
+
+# Outputs recorded before the witness and suite code was refactored; any
+# change to them is a change of behaviour, not of structure.
+PIN_SPACE = {"points": ["e", "a", "b", "c"], "base": 0,
+             "dist": [["0", "1", "2", "3/2"], ["1", "0", "1", "3/2"],
+                      ["2", "1", "0", "1"], ["3/2", "3/2", "1", "0"]]}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _build_report(kind, norm, inverse_norm, condition, extra=""):
+    return ('{\n  "numeric_mode": "exact",\n  "kind": "%s",\n'
+            '  "witness_file": "w.json",\n  "operator_norm": "%s",\n'
+            '  "inverse_norm": "%s",\n  "condition": "%s"%s\n}\n'
+            % (kind, norm, inverse_norm, condition, extra))
+
+
+@pytest.mark.parametrize("kind, extra_args, stdout, witness_sha", [
+    ("normalize", [], _build_report("normalize", "2", "1", "2"),
+     "16887939d85d3608dcaef58b13e7a5e38fb32bb44c830096c0485a3165b58f4a"),
+    ("project", ["--pi", "a:a,b:a,c:0"], _build_report("project", "5/2", "1",
+                                                      "5/2"),
+     "00b09c31962b2891b1ccca3b793b96a1b381bbbd4e45c2b510500e528551af27"),
+    ("discrete", [], _build_report("discrete", "2", "2", "4",
+                                   ',\n  "separation": "1",\n'
+                                   '  "diameter": "2"'),
+     "ad55eabb60492da8fee652a8cc2c40e7320043231ef08118858639f4d42f33a0"),
+])
+def test_witness_build_output_pinned(tmp_path, capsys, monkeypatch, kind,
+                                     extra_args, stdout, witness_sha):
+    monkeypatch.chdir(tmp_path)
+    io.dump_json(PIN_SPACE, "s.json")
+    assert main(["witness", "build", "--space", "s.json", "--kind", kind,
+                 "--witness-out", "w.json", *extra_args]) == 0
+    assert capsys.readouterr().out == stdout
+    assert _sha256((tmp_path / "w.json").read_bytes()) == witness_sha
+
+
+def test_witness_opnorm_output_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    io.dump_json(PIN_SPACE, "s.json")
+    assert main(["witness", "build", "--space", "s.json", "--kind", "project",
+                 "--pi", "a:a,b:a,c:0", "--witness-out", "w.json"]) == 0
+    capsys.readouterr()
+    expected = '{\n  "numeric_mode": "exact",\n  "operator_norm": "5/2"\n}\n'
+    assert main(["witness", "opnorm", "--witness", "w.json"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["witness", "opnorm", "--witness", "w.json",
+                 "-o", "r.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "r.json").read_text() == expected
+
+
+def test_suite_output_pinned(capsys):
+    assert main(["suite", "--seed", "0", "--spaces", "30"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == \
+        "6eca6a66becb19ab06ee2d22d219c137da6e7fa7d628ebc9e9ce3a01bd6a6594"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"points": 5}, "points: expected a list"),
+    ({"dist": [["0", "1"], 7]}, "dist[1]: expected a list"),
+    ({"base": True}, "base must be an integer index"),
+    ({"base": "0"}, "base must be an integer index"),
+], ids=["points", "dist-row", "base-true", "base-string"])
+def test_malformed_space_document_exits_2(tmp_path, capsys, change, message):
+    path = tmp_path / "s.json"
+    io.dump_json({"points": ["e", "a"], "base": 0,
+                  "dist": [["0", "1"], ["1", "0"]], **change}, path)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lipfree: error: {message}\n"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--spaces", "-3", "--spaces must be a nonnegative integer, got -3"),
+    ("--max-size", "0", "--max-size must be an integer of at least 2, got 0"),
+], ids=["spaces", "max-size"])
+def test_suite_bad_size_flag_exits_2(capsys, flag, value, message):
+    assert main(["suite", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lipfree: error: {message}\n"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from lipfree import (FreeVector, MetricSpace, free_norm_dual, free_norm_flow,
                      validate)
+from lipfree.linalg import identity, invert, rank
 
 from helpers import brute_force_free_norm, tiny_space
 
@@ -69,3 +70,34 @@ def test_pinned_rational_instance():
     assert cost == q(657, 350)
     assert plan.edges == ((0, 2, q(3, 2)), (3, 2, q(5, 7)), (5, 1, q(2, 3)),
                           (5, 2, q(2, 15)), (5, 4, q(1, 5)))
+
+
+def _mix(rng, rows):
+    """Random row additions: elementary operations that keep the rank."""
+    for _ in range(3 * len(rows) if len(rows) > 1 else 0):
+        a, b = rng.sample(range(len(rows)), 2)
+        t = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+        rows[a] = [x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def test_elimination_gives_known_rank_and_inverse():
+    rng = random.Random(46)
+    for _ in range(150):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(0, min(n, m))
+        # rank r by construction: mix the rows, then the columns, of a
+        # partial identity
+        rows = _mix(rng, [[Fraction(int(i == j < r)) for j in range(m)]
+                          for i in range(n)])
+        cols = _mix(rng, [list(col) for col in zip(*rows)])
+        a = [list(row) for row in zip(*cols)]
+        assert rank(a) == r
+        if n == m:
+            inv = invert(a)
+            if r < n:
+                assert inv is None
+            else:
+                product = [[sum(x * y for x, y in zip(row, col))
+                            for col in zip(*inv)] for row in a]
+                assert product == identity(n)
